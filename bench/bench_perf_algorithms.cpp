@@ -5,18 +5,20 @@
 // sweep) with comfortable margins.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "fedcons/analysis/dbf.h"
+#include "fedcons/analysis/dbf_kernel.h"
 #include "fedcons/analysis/edf_uniproc.h"
 #include "fedcons/analysis/rta.h"
 #include "fedcons/federated/fedcons_algorithm.h"
 #include "fedcons/federated/minprocs.h"
+#include "fedcons/federated/partition.h"
 #include "fedcons/gen/taskset_gen.h"
 #include "fedcons/listsched/list_scheduler.h"
 #include "fedcons/listsched/optimal_makespan.h"
 #include "fedcons/sim/system_sim.h"
-#include "fedcons/simd/dispatch.h"
 #include "fedcons/util/rng.h"
 
 namespace fedcons {
@@ -56,15 +58,71 @@ void BM_DbfEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_DbfEvaluation)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_ApproxDemandFits(benchmark::State& state) {
-  auto tasks = random_sequential_tasks(static_cast<int>(state.range(0)), 2);
-  Time t = 1;
+/// A light-utilization member set whose aggregate demand fits at every
+/// breakpoint, so the scan benchmark measures the full-length accept case.
+std::vector<SporadicTask> light_sequential_tasks(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<SporadicTask> tasks;
+  tasks.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    Time deadline = rng.uniform_int(100, 5000);
+    tasks.emplace_back(1, deadline, deadline * 10);
+  }
+  return tasks;
+}
+
+// The certified DBF* scan (analysis/dbf_kernel.h) across every breakpoint of
+// an n-member aggregate — all-fit input so the scan runs its full length
+// (the common accept case of PARTITION's acceptance probe).
+void BM_DbfProbeScan(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  DbfStarAggregate agg;
+  for (const auto& t : light_sequential_tasks(n, 21)) agg.insert(t);
+  const DbfCand cand = dbf_affine_term(1, 10, 5000);
+  const double eps_n = kDbfEps * static_cast<double>(agg.size() + 16);
+  const auto bp = agg.soa_breakpoints();
+  const auto A = agg.soa_prefix_a();
+  const auto B = agg.soa_prefix_b();
+  const auto M = agg.soa_prefix_mag();
+  const int end = static_cast<int>(bp.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(approx_demand_fits(tasks, t));
-    t = (t % 100000) + 1;
+    DbfClass cls;
+    benchmark::DoNotOptimize(dbf_scan(bp.data(), A.data(), B.data(), M.data(),
+                                      0, end, cand, eps_n, &cls));
+  }
+  state.SetItemsProcessed(state.iterations() * end);
+}
+BENCHMARK(BM_DbfProbeScan)->Arg(32)->Arg(128)->Arg(512);
+
+// The exact rational probe one certified scan replaces: Σ DBF* at every
+// breakpoint via the aggregate's exact prefixes, on the same all-fit
+// aggregate as BM_DbfProbeScan so both walk every breakpoint (the
+// certified-vs-exact contrast line).
+void BM_ExactAggregateProbe(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  DbfStarAggregate agg;
+  for (const auto& t : light_sequential_tasks(n, 21)) agg.insert(t);
+  const auto dds = agg.distinct_deadlines();
+  for (auto _ : state) {
+    bool ok = true;
+    for (const Time bp : dds) {
+      ok = ok && (agg.sum_at_uncounted(bp) <= BigRational(bp));
+    }
+    benchmark::DoNotOptimize(ok);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(dds.size()));
+}
+BENCHMARK(BM_ExactAggregateProbe)->Arg(32)->Arg(128)->Arg(512);
+
+// End-to-end first-fit PARTITION over 128 sequential tasks on 32 processors.
+void BM_PartitionFirstFit(benchmark::State& state) {
+  const auto tasks = random_sequential_tasks(128, 23);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(partition_tasks(tasks, 32));
   }
 }
-BENCHMARK(BM_ApproxDemandFits)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_PartitionFirstFit);
 
 void BM_ExactEdfQpa(benchmark::State& state) {
   auto tasks = random_sequential_tasks(static_cast<int>(state.range(0)), 3);
@@ -228,15 +286,12 @@ BENCHMARK(BM_SystemSimulation)->Arg(10000)->Arg(100000);
 }  // namespace
 }  // namespace fedcons
 
-// Custom main instead of BENCHMARK_MAIN(): stamp the active SIMD backend and
-// the assertion mode into the benchmark context, so every emitted JSON
+// Custom main instead of BENCHMARK_MAIN(): stamp the assertion mode into the
+// benchmark context, so every emitted JSON
 // (BENCH_PR*.json) records what was actually measured — run_perf.sh refuses
 // non-Release builds, and these fields make the refusal auditable after the
 // fact.
 int main(int argc, char** argv) {
-  benchmark::AddCustomContext(
-      "simd_backend",
-      fedcons::simd::to_string(fedcons::simd::active_backend()));
 #ifdef NDEBUG
   benchmark::AddCustomContext("build_assertions", "off (NDEBUG)");
 #else

@@ -11,7 +11,8 @@ Four generations of recording live at the repo root:
   * BENCH_PR7.json — the wrapper document bench/run_perf.sh writes at the
     PR-7 optimization (data-parallel analysis core): the same
     bench_perf_algorithms grid re-recorded, plus the per-kernel
-    scalar-vs-AVX2 microbenchmarks from bench_simd_kernels.
+    scalar-vs-AVX2 microbenchmarks from bench_simd_kernels (a binary since
+    removed with the AVX2 kernels; its recording is kept as written).
   * BENCH_SERVE.json — the admission-control-service document
     bench/run_perf.sh writes at PR 8: a live fedcons_serve daemon on a unix
     socket driven by the closed-loop fedcons_loadgen, one run per

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Record the batch-analysis performance numbers (BENCH_PR7.json): the
-# MINPROCS / full-FEDCONS latency grid from bench_perf_algorithms plus the
-# per-kernel scalar-vs-AVX2 microbenchmarks from bench_simd_kernels.
+# MINPROCS / full-FEDCONS latency grid from bench_perf_algorithms.
 # Also records the admission-control service numbers (BENCH_SERVE.json):
 # a real fedcons_serve daemon on a unix socket driven by the closed-loop
 # fedcons_loadgen, at two resident-set sizes, plus an observability on/off
@@ -17,13 +16,16 @@
 # defaulted to `build/` and happily captured whatever configuration lived
 # there, so recorded "speedups" could compare a debug binary against a
 # release one. Now CMakeCache.txt must say CMAKE_BUILD_TYPE=Release, and the
-# build type + active SIMD backend are stamped into the output document
-# (the benchmark binaries additionally stamp simd_backend / build_assertions
-# into their own context blocks).
+# build type is stamped into the output document (bench_perf_algorithms
+# additionally stamps build_assertions into its own context block).
 #
 # Acceptance bar recorded in ISSUE.md (PR 7): BM_FedconsFullTest/128 at
 # least 3x faster than the BENCH_PR2.json recording of the same benchmark.
 # The script computes that ratio when BENCH_PR2.json is present.
+#
+# Exit status: 0 when every acceptance bar printed as MET, 1 when any bar
+# printed NOT MET (the recordings are still written), other non-zero codes
+# on usage or build errors.
 set -euo pipefail
 
 serve_only=0
@@ -51,16 +53,13 @@ if [[ "$build_type" != "Release" ]]; then
 fi
 
 if [[ $serve_only -eq 0 ]]; then
-for bin in bench_perf_algorithms bench_simd_kernels; do
-  if [[ ! -x "$build_dir/bench/$bin" ]]; then
-    echo "error: $build_dir/bench/$bin not found — build first" >&2
-    exit 1
-  fi
-done
+if [[ ! -x "$build_dir/bench/bench_perf_algorithms" ]]; then
+  echo "error: $build_dir/bench/bench_perf_algorithms not found — build first" >&2
+  exit 1
+fi
 
 tmp_algo="$(mktemp)"
-tmp_simd="$(mktemp)"
-trap 'rm -f "$tmp_algo" "$tmp_simd"' EXIT
+trap 'rm -f "$tmp_algo"' EXIT
 
 # Note: this google-benchmark build takes --benchmark_min_time as a plain
 # double (seconds), not the newer "0.1s" suffix form.
@@ -72,18 +71,12 @@ trap 'rm -f "$tmp_algo" "$tmp_simd"' EXIT
   "--benchmark_out=$tmp_algo" \
   --benchmark_out_format=json
 
-"$build_dir/bench/bench_simd_kernels" \
-  --benchmark_min_time=0.1 \
-  "--benchmark_out=$tmp_simd" \
-  --benchmark_out_format=json
-
-python3 - "$tmp_algo" "$tmp_simd" "$out_json" "$build_type" \
+python3 - "$tmp_algo" "$out_json" "$build_type" \
           "$repo_root/BENCH_PR2.json" <<'PY'
 import json, sys
 
-algo_path, simd_path, out_path, build_type, pr2_path = sys.argv[1:6]
+algo_path, out_path, build_type, pr2_path = sys.argv[1:5]
 algo = json.load(open(algo_path))
-simd = json.load(open(simd_path))
 
 def mean_ns(doc, name):
     for b in doc.get("benchmarks", []):
@@ -97,10 +90,8 @@ doc = {
     "schema_version": 1,
     "benchmark": "pr7_data_parallel_core",
     "cmake_build_type": build_type,
-    "simd_backend": algo.get("context", {}).get("simd_backend", "?"),
     "build_assertions": algo.get("context", {}).get("build_assertions", "?"),
     "perf_algorithms": algo,
-    "simd_kernels": simd,
 }
 
 head = mean_ns(algo, "BM_FedconsFullTest/128")
@@ -116,8 +107,7 @@ except FileNotFoundError:
 
 json.dump(doc, open(out_path, "w"), indent=1)
 print()
-print("wrote %s  (build=%s backend=%s)" % (
-    out_path, build_type, doc["simd_backend"]))
+print("wrote %s  (build=%s)" % (out_path, build_type))
 if "fedcons_full_128_speedup_vs_pr2" in doc:
     print("BM_FedconsFullTest/128: %.0f ns vs %.0f ns baseline -> %.2fx" % (
         head, doc["fedcons_full_128_baseline_ns"],
@@ -254,4 +244,6 @@ obs_verdict = "MET" if doc["obs_overhead_pct"] <= 3.0 else "NOT MET"
 print("observability overhead: %.0f -> %.0f verdicts/s (%.2f%%); "
       "acceptance (<=3%%): %s" % (
           off_qps, on_qps, doc["obs_overhead_pct"], obs_verdict))
+if "NOT MET" in (verdict, obs_verdict):
+    sys.exit(1)
 PY

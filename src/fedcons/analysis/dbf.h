@@ -48,15 +48,6 @@ namespace fedcons {
 [[nodiscard]] std::vector<Time> dbf_approx_breakpoints(
     std::span<const SporadicTask> tasks, int points, Time horizon);
 
-/// Σ_j DBF*(τ_j, t) ≤ t, decided exactly.
-///
-/// This is the acceptance predicate of PARTITION's line 3 once the candidate
-/// task's own volume is folded into the sum. A pure-int64 fast path covers
-/// the overwhelmingly common case; the BigRational slow path guarantees
-/// exactness when 128-bit intermediates would overflow.
-[[nodiscard]] bool approx_demand_fits(std::span<const SporadicTask> tasks,
-                                      Time t);
-
 /// Σ_j DBF(τ_j, t) with overflow checking (exact demand at one instant).
 [[nodiscard]] Time total_dbf(std::span<const SporadicTask> tasks, Time t);
 
@@ -80,7 +71,7 @@ namespace fedcons {
 /// design note), so long-lived storage does not compound.
 ///
 /// Alongside the exact prefixes the aggregate maintains double-precision SoA
-/// mirrors for the certified probe kernel (simd/dbf_kernel.h): per member the
+/// mirrors for the certified probe kernel (dbf_kernel.h): per member the
 /// affine DBF* term (a_j = C_j − u_j·D_j, b_j = u_j) and a magnitude bound,
 /// folded by the identical canonical left fold (so rollback restores the
 /// exact double representations too), then gathered per distinct deadline.
@@ -121,7 +112,7 @@ class DbfStarAggregate {
     return distinct_deadlines_;
   }
 
-  /// Double SoA mirrors for simd::dbf_scan, indexed like distinct_deadlines():
+  /// Double SoA mirrors for dbf_scan, indexed like distinct_deadlines():
   /// entry k holds double(distinct deadline k) and the inclusive double prefix
   /// (A = Σa_j, B = Σb_j, M = Σmag_j) over all members with D_j ≤ that
   /// deadline, so the aggregate demand at breakpoint bp_k is A_k + B_k·bp_k.
@@ -158,7 +149,7 @@ class DbfStarAggregate {
   std::vector<BigRational> prefix_u_;
   std::vector<BigRational> prefix_ud_;
   std::vector<Time> distinct_deadlines_;
-  // Double mirrors: per-member affine terms (simd::dbf_affine_term) and their
+  // Double mirrors: per-member affine terms (dbf_affine_term) and their
   // inclusive left folds, then one gathered entry per distinct deadline.
   std::vector<double> term_a_, term_b_, term_mag_;
   std::vector<double> pfx_a_, pfx_b_, pfx_mag_;

@@ -3,7 +3,6 @@
 #include <ostream>
 
 #include "fedcons/federated/speedup.h"
-#include "fedcons/simd/dispatch.h"
 #include "fedcons/util/stats.h"
 
 namespace fedcons {
@@ -88,9 +87,7 @@ void append_counters_json(std::string& out, const PerfCounters& c) {
          ", \"dbf_star_evaluations\": " +
          fmt_int(static_cast<long long>(c.dbf_star_evaluations)) +
          ", \"simd_breakpoints_vectorized\": " +
-         fmt_int(static_cast<long long>(c.simd_breakpoints_vectorized)) +
-         ", \"ls_probes_blocked\": " +
-         fmt_int(static_cast<long long>(c.ls_probes_blocked)) + "}";
+         fmt_int(static_cast<long long>(c.simd_breakpoints_vectorized)) + "}";
 }
 
 }  // namespace
@@ -103,11 +100,6 @@ std::string sweep_report_json(const std::string& experiment,
   out += "{\n  \"schema_version\": 1,\n";
   out += "  \"experiment\": \"" + json_escape(experiment) + "\",\n";
   out += "  \"seed\": " + fmt_int(static_cast<long long>(seed)) + ",\n";
-  // Which kernel backend computed the run. Pure provenance: verdicts and
-  // every counter below are backend-invariant by the dispatch contract
-  // (pinned by the simd-smoke battery).
-  out += "  \"simd_backend\": \"" +
-         std::string(simd::to_string(simd::active_backend())) + "\",\n";
   out += "  \"algorithms\": [";
   for (std::size_t a = 0; a < algorithms.size(); ++a) {
     if (a) out += ", ";

@@ -1,7 +1,6 @@
 #include "fedcons/federated/minprocs.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "fedcons/listsched/ls_workspace.h"
 #include "fedcons/obs/metrics.h"
@@ -98,34 +97,17 @@ std::optional<MinprocsResult> pruned_scan(const DagTask& task,
   // transitive reduction (cached on the Dag), which cuts the dominant
   // edge-decrement loop without changing any dispatch or finish instant.
   ls_prepare(ws, task.graph(), policy, /*use_reduced_graph=*/true);
-  const int lb = minprocs_lower_bound(task);
-  if (lb > last) return std::nullopt;
-  // Hand the whole candidate range to the blocked probe entry point (early-
-  // exits at the first fit), then attribute its per-probe results — same
-  // sequence, makespans, and logical counters as probing one μ at a time.
-  thread_local std::vector<int> mu_candidates;
-  thread_local std::vector<Time> mu_makespans;
-  mu_candidates.resize(static_cast<std::size_t>(last - lb + 1));
-  for (int mu = lb; mu <= last; ++mu) {
-    mu_candidates[static_cast<std::size_t>(mu - lb)] = mu;
-  }
-  mu_makespans.resize(mu_candidates.size());
-  const std::size_t run =
-      ls_run_blocked(ws, task.graph(), mu_candidates, task.deadline(),
-                     mu_makespans);
-  perf_counters().minprocs_scan_iterations += run;
-  for (std::size_t i = 0; i < run; ++i) {
-    FEDCONS_SPAN_V("minprocs", "ls_probe", "mu", mu_candidates[i]);
-    provenance_probe(prov, mu_candidates[i], mu_makespans[i]);
-  }
-  const bool fit = run > 0 && mu_makespans[run - 1] <= task.deadline();
-  if (fit) {
-    // ws.jobs still holds the accepted probe's dispatch (the block's last).
-    const int mu = mu_candidates[run - 1];
-    provenance_accept(prov, mu);
-    obs::observe_minprocs_mu(mu);
-    return MinprocsResult{
-        mu, TemplateSchedule(mu, {ws.jobs.begin(), ws.jobs.end()})};
+  for (int mu = minprocs_lower_bound(task); mu <= last; ++mu) {
+    ++perf_counters().minprocs_scan_iterations;
+    FEDCONS_SPAN_V("minprocs", "ls_probe", "mu", mu);
+    ls_run_prepared(ws, task.graph(), mu);
+    provenance_probe(prov, mu, ws.makespan);
+    if (ws.makespan <= task.deadline()) {
+      provenance_accept(prov, mu);
+      obs::observe_minprocs_mu(mu);
+      return MinprocsResult{
+          mu, TemplateSchedule(mu, {ws.jobs.begin(), ws.jobs.end()})};
+    }
   }
   return std::nullopt;
 }

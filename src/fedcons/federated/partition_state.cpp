@@ -4,9 +4,9 @@
 #include <limits>
 #include <unordered_map>
 
+#include "fedcons/analysis/dbf_kernel.h"
 #include "fedcons/analysis/edf_uniproc.h"
 #include "fedcons/obs/metrics.h"
-#include "fedcons/simd/dbf_kernel.h"
 #include "fedcons/util/check.h"
 #include "fedcons/util/perf_counters.h"
 
@@ -41,7 +41,7 @@ void diagnose_demand(BinAttemptRecord* diag, const BigRational& demand,
 
 /// Exact Σ_bin DBF* + candidate term at bp — the certified scan's fallback
 /// and diagnosis source. Uncounted: the scan owns every counter credit, so
-/// re-deriving a lane exactly cannot double-bill it.
+/// re-deriving a breakpoint exactly cannot double-bill it.
 BigRational exact_probe_demand(const DbfStarAggregate& agg,
                                const SporadicTask& t, Time bp,
                                bool paper_literal) {
@@ -57,13 +57,13 @@ BigRational exact_probe_demand(const DbfStarAggregate& agg,
 }
 
 /// The aggregate acceptance probe, decided through the certified-double
-/// kernel (simd/dbf_kernel.h). Walks the identical breakpoint sequence the
+/// kernel (analysis/dbf_kernel.h). Walks the identical breakpoint sequence the
 /// exact loop walks — D_cand, then every distinct member deadline above it
 /// (kFull; kPaperLiteral checks D_cand only) — stopping at the first
 /// violation, with identical verdicts, rejection diagnoses, and
 /// dbf_star_evaluations credits (size()+1 per breakpoint checked for kFull,
 /// size() for kPaperLiteral: the candidate term is uncounted there, matching
-/// the legacy paths). Lanes the margin cannot separate fall back to the
+/// the legacy paths). Breakpoints the margin cannot separate fall back to the
 /// exact rational comparison, so only the arithmetic route — never the
 /// decision — depends on floating point.
 bool certified_demand_scan(const DbfStarAggregate& agg, const SporadicTask& t,
@@ -71,36 +71,36 @@ bool certified_demand_scan(const DbfStarAggregate& agg, const SporadicTask& t,
   const std::size_t n = agg.size();
   const std::uint64_t credit =
       static_cast<std::uint64_t>(n) + (paper_literal ? 0 : 1);
-  const simd::DbfCand cand =
-      paper_literal ? simd::dbf_constant_term(t.wcet)
-                    : simd::dbf_affine_term(t.wcet, t.deadline, t.period);
-  const double eps_n = simd::kDbfEps * static_cast<double>(n + 16);
+  const DbfCand cand =
+      paper_literal ? dbf_constant_term(t.wcet)
+                    : dbf_affine_term(t.wcet, t.deadline, t.period);
+  const double eps_n = kDbfEps * static_cast<double>(n + 16);
 
   std::uint64_t checked = 0;
-  std::uint64_t vectorized = 0;
-  // Scan SoA lanes [begin, end); time_at maps a lane index to its exact Time
-  // breakpoint (lane doubles may be poisoned, the Times never are).
+  std::uint64_t certified = 0;
+  // Scan SoA entries [begin, end); time_at maps an entry index to its exact
+  // Time breakpoint (the doubles may be poisoned, the Times never are).
   const auto scan = [&](const double* bp, const double* A, const double* B,
                         const double* M, int begin, int end,
                         auto time_at) -> bool {
     int i = begin;
     while (i < end) {
-      simd::LaneClass cls;
-      const int stop = simd::dbf_scan(bp, A, B, M, i, end, cand, eps_n, &cls);
+      DbfClass cls;
+      const int stop = dbf_scan(bp, A, B, M, i, end, cand, eps_n, &cls);
       checked += static_cast<std::uint64_t>(stop - i);
-      vectorized += static_cast<std::uint64_t>(stop - i);
-      if (stop == end) return true;  // every remaining lane certainly fits
+      certified += static_cast<std::uint64_t>(stop - i);
+      if (stop == end) return true;  // every remaining one certainly fits
       ++checked;
       const Time bpt = time_at(stop);
-      if (cls == simd::LaneClass::kReject) {
-        ++vectorized;
+      if (cls == DbfClass::kReject) {
+        ++certified;
         if (diag != nullptr) {
           diagnose_demand(diag, exact_probe_demand(agg, t, bpt, paper_literal),
                           bpt);
         }
         return false;
       }
-      // Uncertain: decide this one lane exactly, then resume after it.
+      // Uncertain: decide this one breakpoint exactly, then resume after it.
       const BigRational sum = exact_probe_demand(agg, t, bpt, paper_literal);
       if (!(sum <= BigRational(bpt))) {
         diagnose_demand(diag, sum, bpt);
@@ -111,7 +111,7 @@ bool certified_demand_scan(const DbfStarAggregate& agg, const SporadicTask& t,
     return true;
   };
 
-  // Head lane: bp = D_cand against the member prefix with D_j ≤ D_cand.
+  // Head breakpoint: bp = D_cand against the member prefix with D_j ≤ D_cand.
   const auto dds = agg.distinct_deadlines();
   const auto pa = agg.soa_prefix_a();
   const auto pb = agg.soa_prefix_b();
@@ -124,7 +124,7 @@ bool certified_demand_scan(const DbfStarAggregate& agg, const SporadicTask& t,
   double ha = k0 >= 0 ? pa[static_cast<std::size_t>(k0)] : 0.0;
   double hb = k0 >= 0 ? pb[static_cast<std::size_t>(k0)] : 0.0;
   double hm = k0 >= 0 ? pm[static_cast<std::size_t>(k0)] : 0.0;
-  if (t.deadline < 0 || t.deadline > simd::kDbfMaxMagnitude) {
+  if (t.deadline < 0 || t.deadline > kDbfMaxMagnitude) {
     hm = std::numeric_limits<double>::infinity();  // bp not exact: poison
   }
   bool ok = scan(&hbp, &ha, &hb, &hm, 0, 1, [&](int) { return t.deadline; });
@@ -134,7 +134,7 @@ bool certified_demand_scan(const DbfStarAggregate& agg, const SporadicTask& t,
               [&](int j) { return dds[static_cast<std::size_t>(j)]; });
   }
   perf_counters().dbf_star_evaluations += checked * credit;
-  perf_counters().simd_breakpoints_vectorized += vectorized;
+  perf_counters().simd_breakpoints_vectorized += certified;
   return ok;
 }
 
@@ -197,8 +197,8 @@ bool PartitionState::fits(int bin, const SporadicTask& t,
     // margin family as the demand kernel; exact fallback inside the band).
     const double us =
         (b.util_prefix_d.empty() ? 0.0 : b.util_prefix_d.back()) +
-        simd::util_term(t.wcet, t.period);
-    const double uerr = simd::kDbfEps *
+        util_term(t.wcet, t.period);
+    const double uerr = kDbfEps *
                         static_cast<double>(b.tasks.size() + 16) * us;
     if (us + uerr <= 1.0) {
       util_reject = false;
@@ -304,7 +304,7 @@ void PartitionState::insert(int bin, std::size_t id, const SporadicTask& t) {
   b.util_prefix.push_back(std::move(acc));
   b.util_prefix_d.push_back(
       (b.util_prefix_d.empty() ? 0.0 : b.util_prefix_d.back()) +
-      simd::util_term(t.wcet, t.period));
+      util_term(t.wcet, t.period));
   if (partition_uses_aggregates(options_)) b.demand.insert(t);
 }
 
@@ -335,7 +335,7 @@ void PartitionState::remove(int bin, std::size_t id) {
     b.util_prefix[j] = std::move(acc);
     b.util_prefix_d[j] =
         (j == 0 ? 0.0 : b.util_prefix_d[j - 1]) +
-        simd::util_term(b.tasks[j].wcet, b.tasks[j].period);
+        util_term(b.tasks[j].wcet, b.tasks[j].period);
   }
   if (partition_uses_aggregates(options_)) b.demand.remove(departed);
 }

@@ -99,7 +99,7 @@ class PartitionState {
     /// Inclusive prefix fold of member utilizations (canonical left fold, so
     /// insert-then-remove restores the exact prior representations).
     std::vector<BigRational> util_prefix;
-    /// Double mirror of util_prefix (simd::util_term folds; +inf poison for
+    /// Double mirror of util_prefix (util_term folds; +inf poison for
     /// out-of-range parameters) — the certified utilization screen's input.
     std::vector<double> util_prefix_d;
     DbfStarAggregate demand;  // maintained only when aggregates are on

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "fedcons/listsched/list_scheduler.h"
-#include "fedcons/simd/fill.h"
 #include "fedcons/util/check.h"
 #include "fedcons/util/perf_counters.h"
 
@@ -358,27 +357,25 @@ void ls_run_prepared(LsWorkspace& ws, const Dag& dag, int num_processors,
       ws.jobs.capacity() >= n;
   if (reused) ++workspace_reuse_count();
 
-  // Reset per-run state (capacity persists across runs). The bulk writes go
-  // through the dispatched fill/copy primitives — resize only adjusts length
-  // (values are overwritten below), so the reset's data plane is the simd
-  // module's store loops rather than per-element assign.
+  // Reset per-run state (capacity persists across runs). resize only adjusts
+  // length; the values are written by the fills and copies below.
   ws.remaining_preds.resize(n);
-  simd::copy_u32(ws.remaining_preds.data(), ws.init_preds.data(), n);
+  std::copy_n(ws.init_preds.data(), n, ws.remaining_preds.data());
   ws.ready_mask.resize(pos_words);
-  simd::fill_u64(ws.ready_mask.data(), pos_words, 0);
+  std::fill_n(ws.ready_mask.data(), pos_words, 0);
   ws.proc_of.resize(n);
   ws.jobs.resize(n);  // every vertex dispatches exactly once; slots overwritten
   if (use_wheel) {
     ws.wheel_head.resize(bucket_count);
-    simd::fill_u32(ws.wheel_head.data(), bucket_count, kNoVertex);
+    std::fill_n(ws.wheel_head.data(), bucket_count, kNoVertex);
     ws.wheel_next.resize(n);
     ws.wheel_mask.resize(bucket_count / 64);
-    simd::fill_u64(ws.wheel_mask.data(), bucket_count / 64, 0);
+    std::fill_n(ws.wheel_mask.data(), bucket_count / 64, 0);
   } else {
     ws.running.reserve(max_running);
   }
   ws.free_mask.resize(free_words);
-  simd::fill_u64(ws.free_mask.data(), free_words, 0);
+  std::fill_n(ws.free_mask.data(), free_words, 0);
   for (std::size_t p = 0; p < procs; ++p)
     ws.free_mask[p / 64] |= std::uint64_t{1} << (p % 64);
   RunState rs;
@@ -398,20 +395,6 @@ void ls_run_prepared(LsWorkspace& ws, const Dag& dag, int num_processors,
                  : run_wheel(ws, rs, exec_times, n, bucket_count,
                              ws.succ_flat.data()))
           : run_generic(ws, rs, exec_times, n);
-}
-
-std::size_t ls_run_blocked(LsWorkspace& ws, const Dag& dag,
-                           std::span<const int> mus, Time fit_deadline,
-                           std::span<Time> makespans) {
-  FEDCONS_EXPECTS(makespans.size() >= mus.size());
-  std::size_t run = 0;
-  for (const int mu : mus) {
-    ls_run_prepared(ws, dag, mu);
-    makespans[run++] = ws.makespan;
-    if (ws.makespan <= fit_deadline) break;
-  }
-  perf_counters().ls_probes_blocked += run;
-  return run;
 }
 
 }  // namespace fedcons

@@ -127,21 +127,4 @@ void ls_prepare(LsWorkspace& ws, const Dag& dag, ListPolicy policy,
 void ls_run_prepared(LsWorkspace& ws, const Dag& dag, int num_processors,
                      std::span<const Time> exec_times = {});
 
-/// Blocked μ scan: one ls_run_prepared per candidate in `mus`, in order,
-/// recording each run's makespan in makespans[i] and stopping after the first
-/// candidate whose makespan ≤ fit_deadline (Graham-bound monotonicity makes
-/// any later candidate redundant for the MINPROCS decision). Returns the
-/// number of probes run — the index of the first fitting candidate plus one,
-/// or mus.size() when none fits; makespans beyond that count are untouched.
-///
-/// The probe sequence, per-probe results, and ls_invocations credits are
-/// identical to the caller looping ls_run_prepared itself — the block entry
-/// point exists so the whole scan's state resets run through the dispatched
-/// fill/copy primitives and are credited in ls_probes_blocked.
-/// Preconditions: ls_prepare ran for this dag; makespans.size() >= mus.size().
-[[nodiscard]] std::size_t ls_run_blocked(LsWorkspace& ws, const Dag& dag,
-                                         std::span<const int> mus,
-                                         Time fit_deadline,
-                                         std::span<Time> makespans);
-
 }  // namespace fedcons

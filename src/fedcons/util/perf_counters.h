@@ -20,9 +20,10 @@ namespace fedcons {
 /// Counting convention: counters measure *logical* analytical work, not
 /// physical function calls. A fast path that decides the same question
 /// without performing every call credits the count the straightforward path
-/// would have paid (see approx_demand_fits and the incremental PARTITION
-/// state), so counter totals are invariant under the perf optimizations and
-/// deterministic per trial, and comparable across engine versions.
+/// would have paid (see DbfStarAggregate::sum_at and the incremental
+/// PARTITION state), so counter totals are invariant under the perf
+/// optimizations and deterministic per trial, and comparable across engine
+/// versions.
 /// ls_probes_pruned exposes the scan optimization's effect but is still a
 /// pure function of the trial's inputs. The one physical counter
 /// (workspace_reuses) lives OUTSIDE this struct — see ls_workspace.h —
@@ -71,15 +72,11 @@ struct PerfCounters {
   /// placement order (clean-bin placements are reused without probing).
   std::uint64_t partition_bins_revalidated = 0;
   /// Demand breakpoints decided by the certified-double kernel without the
-  /// exact rational fallback (simd/dbf_kernel.h). Lane classification is
-  /// backend-invariant (pinned by the simd equivalence tests), so like
-  /// ls_probes_pruned this exposes the fast path's reach while remaining a
-  /// pure function of the trial's inputs.
+  /// exact rational fallback (analysis/dbf_kernel.h). Like ls_probes_pruned
+  /// this exposes the fast path's reach while remaining a pure function of
+  /// the trial's inputs. (The name predates the kernel's scalar-only form;
+  /// the repo benchmark reads it under this name.)
   std::uint64_t simd_breakpoints_vectorized = 0;
-  /// LS probes executed through the blocked μ-scan entry point
-  /// (listsched/ls_workspace.h ls_run_blocked) — probes whose per-run state
-  /// resets went through the dispatched fill/copy primitives.
-  std::uint64_t ls_probes_blocked = 0;
 
   PerfCounters& operator+=(const PerfCounters& rhs) noexcept {
     ls_invocations += rhs.ls_invocations;
@@ -96,7 +93,6 @@ struct PerfCounters {
     minprocs_memo_misses += rhs.minprocs_memo_misses;
     partition_bins_revalidated += rhs.partition_bins_revalidated;
     simd_breakpoints_vectorized += rhs.simd_breakpoints_vectorized;
-    ls_probes_blocked += rhs.ls_probes_blocked;
     return *this;
   }
   /// Delta between two snapshots of the same thread's counters.
@@ -114,8 +110,7 @@ struct PerfCounters {
             minprocs_memo_hits - rhs.minprocs_memo_hits,
             minprocs_memo_misses - rhs.minprocs_memo_misses,
             partition_bins_revalidated - rhs.partition_bins_revalidated,
-            simd_breakpoints_vectorized - rhs.simd_breakpoints_vectorized,
-            ls_probes_blocked - rhs.ls_probes_blocked};
+            simd_breakpoints_vectorized - rhs.simd_breakpoints_vectorized};
   }
   [[nodiscard]] bool operator==(const PerfCounters&) const noexcept = default;
 };

@@ -76,7 +76,6 @@
 #include "fedcons/online/trace.h"
 #include "fedcons/sim/gantt.h"
 #include "fedcons/sim/system_sim.h"
-#include "fedcons/simd/dispatch.h"
 #include "fedcons/util/check.h"
 #include "fedcons/util/flags.h"
 #include "fedcons/util/mini_json.h"
@@ -144,10 +143,6 @@ void print_json_report(std::ostream& os, const std::string& file, int m,
   os << "  \"file\": \"" << json_escape(file) << "\",\n";
   os << "  \"m\": " << m << ",\n";
   os << "  \"strategy\": \"fedcons\",\n";
-  // Provenance only: verdicts and counters are backend-invariant (the
-  // simd-smoke battery pins it), so this records what ran, not what decided.
-  os << "  \"simd_backend\": \"" << simd::to_string(simd::active_backend())
-     << "\",\n";
   os << "  \"schedulable\": " << (result.success ? "true" : "false") << ",\n";
   os << "  \"failure\": \"" << to_string(result.failure) << "\",\n";
   os << "  \"tasks\": [\n";
@@ -180,7 +175,6 @@ void print_json_report(std::ostream& os, const std::string& file, int m,
      << counters.minprocs_scan_iterations
      << ", \"dbf_star_evaluations\": " << counters.dbf_star_evaluations
      << ", \"ls_probes_pruned\": " << counters.ls_probes_pruned
-     << ", \"ls_probes_blocked\": " << counters.ls_probes_blocked
      << ", \"simd_breakpoints_vectorized\": "
      << counters.simd_breakpoints_vectorized
      << ", \"minprocs_memo_hits\": " << counters.minprocs_memo_hits
@@ -336,8 +330,6 @@ int run_online(const Flags& flags) {
     std::cout << "{\n";
     std::cout << "  \"schema_version\": 1,\n";
     std::cout << "  \"trace\": \"" << json_escape(path) << "\",\n";
-    std::cout << "  \"simd_backend\": \""
-              << simd::to_string(simd::active_backend()) << "\",\n";
     std::cout << "  \"m\": " << config.processors << ",\n";
     std::cout << "  \"events\": " << result.events << ",\n";
     std::cout << "  \"applied\": " << result.applied << ",\n";
@@ -366,7 +358,6 @@ int run_online(const Flags& flags) {
               << ", \"partition_bins_revalidated\": "
               << delta.partition_bins_revalidated
               << ", \"ls_probes_pruned\": " << delta.ls_probes_pruned
-              << ", \"ls_probes_blocked\": " << delta.ls_probes_blocked
               << ", \"simd_breakpoints_vectorized\": "
               << delta.simd_breakpoints_vectorized
               << ", \"total_latency_us\": " << result.total_latency_us
