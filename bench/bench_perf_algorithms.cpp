@@ -95,8 +95,9 @@ void BM_DbfProbeScan(benchmark::State& state) {
 BENCHMARK(BM_DbfProbeScan)->Arg(32)->Arg(128)->Arg(512);
 
 // The exact rational probe one certified scan replaces: Σ DBF* at every
-// breakpoint via the aggregate's exact prefixes, on the same all-fit
-// aggregate as BM_DbfProbeScan so both walk every breakpoint (the
+// breakpoint via one running exact fold over the aggregate's members (the
+// fallback the certified probe carries across its breakpoints), on the same
+// all-fit aggregate as BM_DbfProbeScan so both walk every breakpoint (the
 // certified-vs-exact contrast line).
 void BM_ExactAggregateProbe(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -104,9 +105,10 @@ void BM_ExactAggregateProbe(benchmark::State& state) {
   for (const auto& t : light_sequential_tasks(n, 21)) agg.insert(t);
   const auto dds = agg.distinct_deadlines();
   for (auto _ : state) {
+    DbfStarAggregate::ExactFold fold(agg);
     bool ok = true;
     for (const Time bp : dds) {
-      ok = ok && (agg.sum_at_uncounted(bp) <= BigRational(bp));
+      ok = ok && (fold.sum_at(bp) <= BigRational(bp));
     }
     benchmark::DoNotOptimize(ok);
   }
@@ -114,6 +116,25 @@ void BM_ExactAggregateProbe(benchmark::State& state) {
                           static_cast<std::int64_t>(dds.size()));
 }
 BENCHMARK(BM_ExactAggregateProbe)->Arg(32)->Arg(128)->Arg(512);
+
+// The exact-tie family: 4k identical tasks with C/T = 1/k and D = T, first
+// fit onto 4 processors, so each bin closes at exactly Σu = 1 and
+// Σ DBF*(t) = t. The probe that closes a bin lands inside the certified
+// margin at both its utilization screen and its demand breakpoint, so both
+// fall back to the exact fold over the bin's k − 1 members; every other
+// probe (the first k − 1 onto a bin, and rejections at closed bins) is
+// certified.
+void BM_PartitionAllTies(benchmark::State& state) {
+  const Time k = state.range(0);
+  const std::vector<SporadicTask> tasks(static_cast<std::size_t>(4 * k),
+                                        SporadicTask(1000, 1000 * k, 1000 * k));
+  for (auto _ : state) {
+    const PartitionResult r = partition_tasks(tasks, 4);
+    if (!r.success) state.SkipWithError("exact-tie family must fit");
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_PartitionAllTies)->Arg(8)->Arg(32)->Arg(128);
 
 // End-to-end first-fit PARTITION over 128 sequential tasks on 32 processors.
 void BM_PartitionFirstFit(benchmark::State& state) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "fedcons/analysis/dbf_kernel.h"
 #include "fedcons/util/check.h"
@@ -71,18 +72,25 @@ Time total_dbf(std::span<const SporadicTask> tasks, Time t) {
   return sum;
 }
 
+namespace {
+
+/// Orders members against a deadline, for binary searches over members_.
+struct ByDeadline {
+  bool operator()(const SporadicTask& m, Time t) const {
+    return m.deadline < t;
+  }
+  bool operator()(Time t, const SporadicTask& m) const {
+    return t < m.deadline;
+  }
+};
+
+}  // namespace
+
 void DbfStarAggregate::insert(const SporadicTask& task) {
-  const auto pos =
-      std::upper_bound(deadlines_.begin(), deadlines_.end(), task.deadline);
-  const auto idx = static_cast<std::size_t>(pos - deadlines_.begin());
-  deadlines_.insert(pos, task.deadline);
-  u_.insert(u_.begin() + static_cast<std::ptrdiff_t>(idx),
-            make_ratio(task.wcet, task.period));
-  // C·D can exceed int64 for extreme parameters; form it as a BigInt product.
-  ud_.insert(ud_.begin() + static_cast<std::ptrdiff_t>(idx),
-             BigRational(BigInt(task.wcet) * BigInt(task.deadline),
-                         BigInt(task.period)));
-  vol_.insert(vol_.begin() + static_cast<std::ptrdiff_t>(idx), task.wcet);
+  const auto pos = std::upper_bound(members_.begin(), members_.end(),
+                                    task.deadline, ByDeadline{});
+  const auto idx = static_cast<std::size_t>(pos - members_.begin());
+  members_.insert(pos, task);
 
   const DbfCand term =
       dbf_affine_term(task.wcet, task.deadline, task.period);
@@ -103,67 +111,43 @@ void DbfStarAggregate::insert(const SporadicTask& task) {
 
 void DbfStarAggregate::remove(const SporadicTask& task) {
   // Locate a member with this exact (C, D, T) among the equal-deadline run.
-  // Tied members are value-identical in every array, so removing the first
-  // match yields the same arrays regardless of which duplicate departed.
-  auto lo = std::lower_bound(deadlines_.begin(), deadlines_.end(),
-                             task.deadline);
-  std::size_t idx = static_cast<std::size_t>(lo - deadlines_.begin());
-  bool found = false;
-  for (; idx < deadlines_.size() && deadlines_[idx] == task.deadline; ++idx) {
-    if (vol_[idx] == task.wcet && u_[idx] == make_ratio(task.wcet, task.period)) {
-      found = true;
-      break;
-    }
+  // Matching members are identical, so removing the first match yields the
+  // same arrays regardless of which duplicate departed.
+  const auto [lo, hi] = std::equal_range(members_.begin(), members_.end(),
+                                         task.deadline, ByDeadline{});
+  const auto it = std::find_if(lo, hi, [&](const SporadicTask& m) {
+    return m.wcet == task.wcet && m.period == task.period;
+  });
+  FEDCONS_EXPECTS_MSG(it != hi, "DbfStarAggregate::remove: no such member");
+  // Drop the deadline from the breakpoint list when its last holder leaves.
+  if (hi - lo == 1) {
+    distinct_deadlines_.erase(std::lower_bound(distinct_deadlines_.begin(),
+                                               distinct_deadlines_.end(),
+                                               task.deadline));
   }
-  FEDCONS_EXPECTS_MSG(found, "DbfStarAggregate::remove: no such member");
 
-  const auto p = static_cast<std::ptrdiff_t>(idx);
-  deadlines_.erase(deadlines_.begin() + p);
-  u_.erase(u_.begin() + p);
-  ud_.erase(ud_.begin() + p);
-  vol_.erase(vol_.begin() + p);
+  const auto p = it - members_.begin();
+  members_.erase(it);
   term_a_.erase(term_a_.begin() + p);
   term_b_.erase(term_b_.begin() + p);
   term_mag_.erase(term_mag_.begin() + p);
-
-  prefix_vol_.resize(deadlines_.size());
-  prefix_u_.resize(deadlines_.size());
-  prefix_ud_.resize(deadlines_.size());
-  refresh_prefixes_from(idx);
-
-  // Drop the deadline from the breakpoint list when its last holder left.
-  const bool still_present =
-      std::binary_search(deadlines_.begin(), deadlines_.end(), task.deadline);
-  if (!still_present) {
-    const auto dpos = std::lower_bound(
-        distinct_deadlines_.begin(), distinct_deadlines_.end(), task.deadline);
-    distinct_deadlines_.erase(dpos);
-  }
+  refresh_prefixes_from(static_cast<std::size_t>(p));
   rebuild_soa();
 }
 
 void DbfStarAggregate::refresh_prefixes_from(std::size_t idx) {
-  prefix_vol_.resize(deadlines_.size());
-  prefix_u_.resize(deadlines_.size());
-  prefix_ud_.resize(deadlines_.size());
-  pfx_a_.resize(deadlines_.size());
-  pfx_b_.resize(deadlines_.size());
-  pfx_mag_.resize(deadlines_.size());
-  for (std::size_t i = idx; i < deadlines_.size(); ++i) {
+  pfx_a_.resize(members_.size());
+  pfx_b_.resize(members_.size());
+  pfx_mag_.resize(members_.size());
+  for (std::size_t i = idx; i < members_.size(); ++i) {
     if (i == 0) {
-      prefix_vol_[i] = BigRational(vol_[i]);
-      prefix_u_[i] = u_[i];
-      prefix_ud_[i] = ud_[i];
       pfx_a_[i] = term_a_[i];
       pfx_b_[i] = term_b_[i];
       pfx_mag_[i] = term_mag_[i];
     } else {
-      prefix_vol_[i] = prefix_vol_[i - 1] + BigRational(vol_[i]);
-      prefix_u_[i] = prefix_u_[i - 1] + u_[i];
-      prefix_ud_[i] = prefix_ud_[i - 1] + ud_[i];
-      // Single IEEE additions — deterministic in every TU, so the mirrors are
-      // a pure function of the member arrays and rollback restores them bit
-      // for bit, like the rationals above.
+      // Single IEEE additions — deterministic in every TU, so the mirrors
+      // are a pure function of the member list and rollback restores them
+      // bit for bit.
       pfx_a_[i] = pfx_a_[i - 1] + term_a_[i];
       pfx_b_[i] = pfx_b_[i - 1] + term_b_[i];
       pfx_mag_[i] = pfx_mag_[i - 1] + term_mag_[i];
@@ -184,31 +168,41 @@ void DbfStarAggregate::rebuild_soa() {
   // deadline beyond the kernel's validated range is not exactly representable
   // as a double, so its lane is poisoned (+inf magnitude → always uncertain →
   // exact fallback at the true Time breakpoint).
-  for (std::size_t i = 0; i < deadlines_.size(); ++i) {
-    if (i + 1 < deadlines_.size() && deadlines_[i + 1] == deadlines_[i]) {
-      continue;
-    }
-    soa_bp_.push_back(static_cast<double>(deadlines_[i]));
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    const Time d = members_[i].deadline;
+    if (i + 1 < members_.size() && members_[i + 1].deadline == d) continue;
+    soa_bp_.push_back(static_cast<double>(d));
     soa_a_.push_back(pfx_a_[i]);
     soa_b_.push_back(pfx_b_[i]);
-    soa_mag_.push_back(deadlines_[i] > kDbfMaxMagnitude
+    soa_mag_.push_back(d > kDbfMaxMagnitude
                            ? std::numeric_limits<double>::infinity()
                            : pfx_mag_[i]);
   }
   FEDCONS_EXPECTS(soa_bp_.size() == distinct_deadlines_.size());
 }
 
-BigRational DbfStarAggregate::sum_at(Time t) const {
-  // Counter contract (see header): one logical DBF* evaluation per member.
-  perf_counters().dbf_star_evaluations += deadlines_.size();
-  return sum_at_uncounted(t);
-}
-
-BigRational DbfStarAggregate::sum_at_uncounted(Time t) const {
-  const auto pos = std::upper_bound(deadlines_.begin(), deadlines_.end(), t);
-  if (pos == deadlines_.begin()) return BigRational(0);
-  const auto k = static_cast<std::size_t>(pos - deadlines_.begin()) - 1;
-  return prefix_vol_[k] + prefix_u_[k] * BigRational(t) - prefix_ud_[k];
+BigRational DbfStarAggregate::ExactFold::sum_at(Time t) {
+  const std::vector<SporadicTask>& m = agg_->members_;
+  FEDCONS_EXPECTS_MSG(folded_ == 0 || m[folded_ - 1].deadline <= t,
+                      "ExactFold::sum_at: breakpoints must ascend");
+  for (; folded_ < m.size() && m[folded_].deadline <= t; ++folded_) {
+    const SporadicTask& j = m[folded_];
+    BigRational vol(j.wcet);
+    BigRational u = make_ratio(j.wcet, j.period);
+    // C·D can exceed int64 for extreme parameters; form it as a BigInt product.
+    BigRational ud(BigInt(j.wcet) * BigInt(j.deadline), BigInt(j.period));
+    if (folded_ == 0) {
+      vol_ = std::move(vol);
+      u_ = std::move(u);
+      ud_ = std::move(ud);
+    } else {
+      vol_ += vol;
+      u_ += u;
+      ud_ += ud;
+    }
+  }
+  if (folded_ == 0) return BigRational(0);
+  return vol_ + u_ * BigRational(t) - ud_;
 }
 
 }  // namespace fedcons

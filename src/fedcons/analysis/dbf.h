@@ -52,59 +52,56 @@ namespace fedcons {
 [[nodiscard]] Time total_dbf(std::span<const SporadicTask> tasks, Time t);
 
 /// Incrementally maintained Σ_j DBF*(τ_j, t) over a growing task set — the
-/// per-bin cache behind PARTITION's incremental acceptance probes.
+/// per-bin state behind PARTITION's incremental acceptance probes.
 ///
-/// Members are kept sorted by deadline with exact inclusive prefix sums of
-/// (C_j, C_j/T_j, C_j·D_j/T_j), so one evaluation is
-///     Σ_{D_j ≤ t} (C_j + u_j·(t − D_j)) = Σvol + (Σu)·t − Σ(u·D)
-/// over the prefix with D_j ≤ t: O(log n) lookup plus O(1) rational ops
-/// instead of an O(n) per-member sum, and — all arithmetic being exact —
-/// equal as a rational to the term-wise sum, so every comparison made
-/// against it decides identically (pinned by the partition tests).
+/// Stored state is the members (C_j, D_j, T_j), sorted by deadline, plus
+/// double SoA mirrors for the certified probe kernel (dbf_kernel.h): per
+/// member the affine DBF* term (a_j = C_j − u_j·D_j, b_j = u_j) and a
+/// magnitude bound, their inclusive left folds, and one gathered entry per
+/// distinct deadline. Parameters beyond the kernel's validated range poison
+/// the magnitude with +inf, forcing the exact path: the mirrors can
+/// accelerate decisions but never change one. insert and remove refold the
+/// mirrors from the changed index with the same left fold, so rollback
+/// restores every stored double bit for bit.
 ///
-/// Counter contract: sum_at credits one dbf_star_evaluations per member,
-/// exactly what the per-member dbf_approx loop it replaces would have
-/// counted (members with D_j > t included — their calls return 0 but count).
-///
-/// Each prefix entry is a sum of at most size() reduce_fast-normalized terms,
-/// the same limb-growth bound as the transient per-probe sums (rational.h
-/// design note), so long-lived storage does not compound.
-///
-/// Alongside the exact prefixes the aggregate maintains double-precision SoA
-/// mirrors for the certified probe kernel (dbf_kernel.h): per member the
-/// affine DBF* term (a_j = C_j − u_j·D_j, b_j = u_j) and a magnitude bound,
-/// folded by the identical canonical left fold (so rollback restores the
-/// exact double representations too), then gathered per distinct deadline.
-/// Members whose parameters exceed the kernel's validated range poison their
-/// magnitude prefix with +inf, which forces every affected lane onto the
-/// exact rational fallback — the mirrors can accelerate decisions but never
-/// change one.
+/// The exact value is folded from the members on demand (ExactFold):
+///     Σ_{D_j ≤ t} (C_j + u_j·(t − D_j)) = Σvol + (Σu)·t − Σ(u·D),
+/// each sum a left fold from the first member. It equals the term-wise
+/// Σ dbf_approx as a rational, and its unreduced representation (rendered in
+/// rejection diagnoses) depends on the member list alone, never on history.
 class DbfStarAggregate {
  public:
-  /// Add one member. O(size) worst case (suffix prefix refresh); PARTITION
-  /// performs one insert per placement vs. many sum_at probes.
+  /// Add one member. O(size) worst case (suffix mirror refresh).
   void insert(const SporadicTask& task);
 
   /// Remove one member matching (C, D, T) exactly — the rollback behind
   /// online task departure (online/admission_session.h). Precondition: such
   /// a member is present (ContractViolation otherwise).
-  ///
-  /// Rollback is exact to the bit, not merely to the value: the suffix
-  /// prefix sums are refreshed by the identical left-to-right fold insert
-  /// uses, so after remove every stored rational has the same representation
-  /// it would have had if the member had never been inserted (pinned by the
-  /// partition_state rollback property test). Subtracting from the prefix
-  /// sums instead would be value-equal but could normalize differently.
   void remove(const SporadicTask& task);
 
-  /// Σ_j DBF*(τ_j, t) over all members, exactly.
-  [[nodiscard]] BigRational sum_at(Time t) const;
+  /// The exact Σ DBF* fold, carried across one probe's ascending breakpoints
+  /// so that all of a probe's exact fallbacks together cost O(size) rational
+  /// additions. Borrows the aggregate, which must not change meanwhile.
+  class ExactFold {
+   public:
+    explicit ExactFold(const DbfStarAggregate& agg) : agg_(&agg) {}
 
-  /// sum_at without the counter credit — the exact fallback of the certified
-  /// probe, whose caller accounts breakpoints itself (partition_state.cpp).
-  [[nodiscard]] BigRational sum_at_uncounted(Time t) const;
+    /// Σ_j DBF*(τ_j, t), exactly. Precondition: no member folded by an
+    /// earlier call has a deadline above t (ascending calls satisfy it).
+    [[nodiscard]] BigRational sum_at(Time t);
 
-  [[nodiscard]] std::size_t size() const noexcept { return deadlines_.size(); }
+   private:
+    const DbfStarAggregate* agg_;
+    std::size_t folded_ = 0;  ///< members [0, folded_) are in the sums
+    BigRational vol_, u_, ud_;
+  };
+
+  /// Σ_j DBF*(τ_j, t), exactly, by a fresh ExactFold. Credits no counter.
+  [[nodiscard]] BigRational sum_at(Time t) const {
+    return ExactFold(*this).sum_at(t);
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
 
   /// Sorted, deduplicated member deadlines — the slope breakpoints of the
   /// summed 1-point approximation (dbf_approx_breakpoints with points == 1).
@@ -130,24 +127,14 @@ class DbfStarAggregate {
   }
 
  private:
-  /// Recompute prefix sums for indices [idx, size) by the canonical fold
-  /// prefix[i] = prefix[i-1] + term[i] — shared by insert and remove so both
-  /// histories land on identical representations. Folds the exact rationals
-  /// and the double mirrors in one pass.
+  /// Recompute the double prefixes for indices [idx, size) by the canonical
+  /// fold pfx[i] = pfx[i-1] + term[i], shared by insert and remove.
   void refresh_prefixes_from(std::size_t idx);
 
   /// Regather the distinct-deadline SoA views from the member prefixes.
   void rebuild_soa();
 
-  // Parallel arrays, sorted by deadline (ties keep insertion order).
-  std::vector<Time> deadlines_;
-  std::vector<BigRational> u_;    ///< per member: C_j/T_j
-  std::vector<BigRational> ud_;   ///< per member: C_j·D_j/T_j
-  std::vector<Time> vol_;         ///< per member: C_j
-  // Inclusive prefix sums over the arrays above.
-  std::vector<BigRational> prefix_vol_;
-  std::vector<BigRational> prefix_u_;
-  std::vector<BigRational> prefix_ud_;
+  std::vector<SporadicTask> members_;  // by deadline, ties in insert order
   std::vector<Time> distinct_deadlines_;
   // Double mirrors: per-member affine terms (dbf_affine_term) and their
   // inclusive left folds, then one gathered entry per distinct deadline.

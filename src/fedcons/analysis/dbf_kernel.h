@@ -10,7 +10,7 @@
 //     a_j = C_j − (C_j/T_j)·D_j,   b_j = C_j/T_j,
 // so the whole prefix sum is A + B·bp with A = Σ a_j, B = Σ b_j over members
 // with D_j ≤ bp. DbfStarAggregate maintains A/B/magnitude prefixes per
-// distinct deadline as double mirrors of its exact rational prefixes
+// distinct deadline as double mirrors of its members' exact terms
 // (dbf.h); this kernel evaluates the affine form in IEEE doubles with a
 // rigorous rounding-error margin and three-way classifies each breakpoint:
 //

@@ -65,12 +65,12 @@ struct PartitionOptions {
   /// values trade analysis time for acceptance (experiment E10). Ignored by
   /// kPaperLiteral (always 1) and kExactEdf.
   int dbf_points = 1;
-  /// Maintain per-bin DBF* aggregates (analysis/dbf.h, DbfStarAggregate)
-  /// updated on placement, so each acceptance probe evaluates cached prefix
-  /// sums instead of re-summing every member. Applies to kPaperLiteral and
-  /// to kFull with dbf_points == 1; verdicts, placements, and perf-counter
-  /// totals are identical to the recompute-per-probe paths (pinned by the
-  /// partition tests). false selects the legacy paths (the oracle).
+  /// Maintain per-bin DBF* aggregates (analysis/dbf.h, DbfStarAggregate),
+  /// so each acceptance probe runs the certified double screen and folds
+  /// exact rationals only where its margin cannot decide. Applies to
+  /// kPaperLiteral and to kFull with dbf_points == 1; verdicts, placements,
+  /// and perf-counter totals are identical to the exact recompute-per-probe
+  /// paths (pinned by the partition tests). false selects those: the oracle.
   bool incremental = true;
   /// When non-null, the placement loop records every (task, bin) probe here
   /// — which bins were tried, why each refused (utilization vs demand, with

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <utility>
 #include <unordered_map>
 
 #include "fedcons/analysis/dbf_kernel.h"
@@ -39,23 +41,6 @@ void diagnose_demand(BinAttemptRecord* diag, const BigRational& demand,
                  std::to_string(breakpoint);
 }
 
-/// Exact Σ_bin DBF* + candidate term at bp — the certified scan's fallback
-/// and diagnosis source. Uncounted: the scan owns every counter credit, so
-/// re-deriving a breakpoint exactly cannot double-bill it.
-BigRational exact_probe_demand(const DbfStarAggregate& agg,
-                               const SporadicTask& t, Time bp,
-                               bool paper_literal) {
-  BigRational sum = agg.sum_at_uncounted(bp);
-  if (paper_literal) {
-    sum += BigRational(t.wcet);
-  } else {
-    BigInt num =
-        BigInt(t.wcet) * BigInt(checked_add(t.period, bp - t.deadline));
-    sum += BigRational(std::move(num), BigInt(t.period));
-  }
-  return sum;
-}
-
 /// The aggregate acceptance probe, decided through the certified-double
 /// kernel (analysis/dbf_kernel.h). Walks the identical breakpoint sequence the
 /// exact loop walks — D_cand, then every distinct member deadline above it
@@ -78,6 +63,24 @@ bool certified_demand_scan(const DbfStarAggregate& agg, const SporadicTask& t,
 
   std::uint64_t checked = 0;
   std::uint64_t certified = 0;
+  // Exact Σ_bin DBF* + candidate term at bp — the fallback and diagnosis
+  // source. Uncounted: the scan owns every counter credit, so re-deriving a
+  // breakpoint exactly cannot double-bill it. One fold serves the whole
+  // probe, made at the first fallback: breakpoints ascend, so every later
+  // fallback extends the previous one's member prefix.
+  std::optional<DbfStarAggregate::ExactFold> fold;
+  const auto exact_demand = [&](Time bp) {
+    if (!fold) fold.emplace(agg);
+    BigRational sum = fold->sum_at(bp);
+    if (paper_literal) {
+      sum += BigRational(t.wcet);
+    } else {
+      BigInt num =
+          BigInt(t.wcet) * BigInt(checked_add(t.period, bp - t.deadline));
+      sum += BigRational(std::move(num), BigInt(t.period));
+    }
+    return sum;
+  };
   // Scan SoA entries [begin, end); time_at maps an entry index to its exact
   // Time breakpoint (the doubles may be poisoned, the Times never are).
   const auto scan = [&](const double* bp, const double* A, const double* B,
@@ -95,13 +98,12 @@ bool certified_demand_scan(const DbfStarAggregate& agg, const SporadicTask& t,
       if (cls == DbfClass::kReject) {
         ++certified;
         if (diag != nullptr) {
-          diagnose_demand(diag, exact_probe_demand(agg, t, bpt, paper_literal),
-                          bpt);
+          diagnose_demand(diag, exact_demand(bpt), bpt);
         }
         return false;
       }
       // Uncertain: decide this one breakpoint exactly, then resume after it.
-      const BigRational sum = exact_probe_demand(agg, t, bpt, paper_literal);
+      const BigRational sum = exact_demand(bpt);
       if (!(sum <= BigRational(bpt))) {
         diagnose_demand(diag, sum, bpt);
         return false;
@@ -139,8 +141,6 @@ bool certified_demand_scan(const DbfStarAggregate& agg, const SporadicTask& t,
 }
 
 }  // namespace
-
-const BigRational PartitionState::kZeroUtil{};
 
 PartitionState::PartitionState(int num_bins, const PartitionOptions& options)
     : options_(options) {
@@ -190,7 +190,13 @@ bool PartitionState::fits(int bin, const SporadicTask& t,
   }
 
   // kFull — Baruah–Fisher with a k-point demand approximation:
-  // long-run capacity first…
+  // long-run capacity first… The exact Σu with the candidate is folded from
+  // the bin's members at most once per probe, and only when needed.
+  std::optional<BigRational> util;
+  const auto exact_util = [&]() -> const BigRational& {
+    if (!util) util = bin_utilization(bin) + t.utilization();
+    return *util;
+  };
   bool util_reject;
   if (partition_uses_aggregates(options_)) {
     // Certified-double screen over the bin's double utilization fold (same
@@ -205,17 +211,16 @@ bool PartitionState::fits(int bin, const SporadicTask& t,
     } else if (us - uerr > 1.0) {
       util_reject = true;
     } else {
-      util_reject = bin_utilization(bin) + t.utilization() > BigRational(1);
+      util_reject = exact_util() > BigRational(1);
     }
   } else {
-    util_reject = bin_utilization(bin) + t.utilization() > BigRational(1);
+    util_reject = exact_util() > BigRational(1);
   }
   if (util_reject) {
     if (diag != nullptr) {
       diag->reason = BinRejectReason::kUtilization;
-      diag->detail = "utilization " +
-                     (bin_utilization(bin) + t.utilization()).to_string() +
-                     " > 1 with candidate";
+      diag->detail =
+          "utilization " + exact_util().to_string() + " > 1 with candidate";
     }
     return false;
   }
@@ -260,6 +265,7 @@ int PartitionState::choose_bin(const SporadicTask& t, PlacementRecord* record,
                                std::uint64_t* probed) const {
   int count = 0;
   int chosen = -1;
+  std::optional<BigRational> chosen_util;  // Σu of `chosen` (best/worst fit)
   for (int k = 0; k < num_bins(); ++k) {
     BinAttemptRecord attempt;
     attempt.bin = k;
@@ -274,16 +280,12 @@ int PartitionState::choose_bin(const SporadicTask& t, PlacementRecord* record,
       chosen = k;
       break;
     }
-    if (chosen < 0) {
+    BigRational cur = bin_utilization(k);
+    if (!chosen_util ||
+        (options_.fit == FitStrategy::kBestFit && *chosen_util < cur) ||
+        (options_.fit == FitStrategy::kWorstFit && cur < *chosen_util)) {
       chosen = k;
-      continue;
-    }
-    const BigRational& best = bin_utilization(chosen);
-    const BigRational& cur = bin_utilization(k);
-    if (options_.fit == FitStrategy::kBestFit && best < cur) {
-      chosen = k;
-    } else if (options_.fit == FitStrategy::kWorstFit && cur < best) {
-      chosen = k;
+      chosen_util = std::move(cur);
     }
   }
   obs::observe_partition_bins_touched(count);
@@ -297,11 +299,6 @@ void PartitionState::insert(int bin, std::size_t id, const SporadicTask& t) {
   Bin& b = bins_[static_cast<std::size_t>(bin)];
   b.ids.push_back(id);
   b.tasks.push_back(t);
-  // Extend the canonical left fold: prefix[i] = prefix[i-1] += u_i, exactly
-  // the accumulation sequence the batch loop performs.
-  BigRational acc = b.util_prefix.empty() ? kZeroUtil : b.util_prefix.back();
-  acc += t.utilization();
-  b.util_prefix.push_back(std::move(acc));
   b.util_prefix_d.push_back(
       (b.util_prefix_d.empty() ? 0.0 : b.util_prefix_d.back()) +
       util_term(t.wcet, t.period));
@@ -325,14 +322,10 @@ void PartitionState::remove(int bin, std::size_t id) {
   const SporadicTask departed = b.tasks[idx];
   b.ids.erase(b.ids.begin() + static_cast<std::ptrdiff_t>(idx));
   b.tasks.erase(b.tasks.begin() + static_cast<std::ptrdiff_t>(idx));
-  // Refold the utilization prefix from the removal point with the identical
-  // left-to-right accumulation, so representations match a fresh build.
-  b.util_prefix.resize(b.tasks.size());
+  // Refold the double utilization prefix from the removal point with the
+  // identical left-to-right accumulation, so its bits match a fresh build.
   b.util_prefix_d.resize(b.tasks.size());
   for (std::size_t j = idx; j < b.tasks.size(); ++j) {
-    BigRational acc = j == 0 ? kZeroUtil : b.util_prefix[j - 1];
-    acc += b.tasks[j].utilization();
-    b.util_prefix[j] = std::move(acc);
     b.util_prefix_d[j] =
         (j == 0 ? 0.0 : b.util_prefix_d[j - 1]) +
         util_term(b.tasks[j].wcet, b.tasks[j].period);
@@ -345,10 +338,13 @@ const std::vector<std::size_t>& PartitionState::bin_ids(int k) const {
   return bins_[static_cast<std::size_t>(k)].ids;
 }
 
-const BigRational& PartitionState::bin_utilization(int k) const {
+BigRational PartitionState::bin_utilization(int k) const {
   FEDCONS_EXPECTS(k >= 0 && k < num_bins());
-  const Bin& b = bins_[static_cast<std::size_t>(k)];
-  return b.util_prefix.empty() ? kZeroUtil : b.util_prefix.back();
+  BigRational sum;
+  for (const SporadicTask& m : bins_[static_cast<std::size_t>(k)].tasks) {
+    sum += m.utilization();
+  }
+  return sum;
 }
 
 const DbfStarAggregate& PartitionState::bin_demand(int k) const {

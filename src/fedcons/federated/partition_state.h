@@ -1,19 +1,16 @@
 // Persistent PARTITION state — the per-bin half of the online admission
 // engine, and the bookkeeping core of the batch partitioner.
 //
-// PR 2 introduced per-bin DBF*/utilization aggregates that lived as locals
-// inside partition_tasks and died with the call. This header promotes them to
-// long-lived values:
-//
 //  * PartitionState — the bins themselves: member tasks in placement order,
-//    the exact utilization fold, and (on the aggregate-eligible variants) the
-//    incremental DBF* prefix structure (analysis/dbf.h). It owns the
-//    acceptance probe fits() and the bin-selection loop choose_bin() — the
-//    exact logic partition_tasks used inline, with identical verdicts,
-//    counters, and provenance records. Insertion and removal are exact
-//    inverses: remove() rolls every aggregate back to the representation it
-//    would have had if the member had never been inserted (DbfStarAggregate
-//    contract), so a departed task leaves no numeric residue.
+//    a double utilization fold, and (on the aggregate-eligible variants) the
+//    DBF* aggregate (analysis/dbf.h). Exact Σu and Σ DBF* are folded from
+//    the members on demand, where the certified screen cannot decide or a
+//    diagnosis needs them. It owns the acceptance probe fits() and the
+//    bin-selection loop choose_bin() — the exact logic partition_tasks used
+//    inline, with identical verdicts, counters, and provenance records.
+//    Insertion and removal are exact inverses: every stored double is a left
+//    fold over the members, refolded from the removal point, so a departed
+//    task leaves no numeric residue.
 //
 //  * IncrementalPartition — the placement *sequence*: residents kept in the
 //    partition order (deadline-monotonic by default, ties in admission
@@ -48,7 +45,7 @@ namespace fedcons {
 /// predicate partition_tasks applies; kPaperLiteral, or kFull at 1 point).
 [[nodiscard]] bool partition_uses_aggregates(const PartitionOptions& options);
 
-/// The bins: persistent per-processor membership + exact aggregates.
+/// The bins: persistent per-processor membership + demand aggregates.
 class PartitionState {
  public:
   PartitionState() = default;
@@ -82,8 +79,8 @@ class PartitionState {
 
   /// Member ids of bin k, in placement order.
   [[nodiscard]] const std::vector<std::size_t>& bin_ids(int k) const;
-  /// Exact Σ u over bin k's members (the left fold in placement order).
-  [[nodiscard]] const BigRational& bin_utilization(int k) const;
+  /// Exact Σ u over bin k's members, folded left in placement order.
+  [[nodiscard]] BigRational bin_utilization(int k) const;
   /// The DBF* aggregate of bin k (meaningful on aggregate-eligible options).
   [[nodiscard]] const DbfStarAggregate& bin_demand(int k) const;
   [[nodiscard]] std::size_t total_members() const noexcept;
@@ -96,15 +93,11 @@ class PartitionState {
   struct Bin {
     std::vector<std::size_t> ids;      // placement order
     std::vector<SporadicTask> tasks;   // parallel to ids
-    /// Inclusive prefix fold of member utilizations (canonical left fold, so
-    /// insert-then-remove restores the exact prior representations).
-    std::vector<BigRational> util_prefix;
-    /// Double mirror of util_prefix (util_term folds; +inf poison for
-    /// out-of-range parameters) — the certified utilization screen's input.
+    /// Inclusive left fold of util_term (+inf poison for out-of-range
+    /// parameters) — the certified utilization screen's input.
     std::vector<double> util_prefix_d;
     DbfStarAggregate demand;  // maintained only when aggregates are on
   };
-  static const BigRational kZeroUtil;
 
   PartitionOptions options_;
   std::vector<Bin> bins_;
@@ -178,7 +171,7 @@ class IncrementalPartition {
   /// physically placed, and a bin is synchronized with the walk (its not-yet
   /// -reached members unplaced) only when it must actually be probed. Bins
   /// no probe touches keep their aggregates untouched, so a standing-decision
-  /// suffix costs no BigRational work at all — the O(changed-task) property
+  /// suffix costs no aggregate work at all — the O(changed-task) property
   /// bench_online measures. `dirty` is directional (0 untouched / 1 grew /
   /// 2 shrunk): rejections of grown bins stand by first-fit monotonicity, so
   /// an admission re-probes only each later member of the bin it landed in,

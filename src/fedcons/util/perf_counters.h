@@ -20,8 +20,8 @@ namespace fedcons {
 /// Counting convention: counters measure *logical* analytical work, not
 /// physical function calls. A fast path that decides the same question
 /// without performing every call credits the count the straightforward path
-/// would have paid (see DbfStarAggregate::sum_at and the incremental
-/// PARTITION state), so counter totals are invariant under the perf
+/// would have paid (see the certified DBF* probe in the incremental
+/// PARTITION state, federated/partition_state.cpp), so counter totals are invariant under the perf
 /// optimizations and deterministic per trial, and comparable across engine
 /// versions.
 /// ls_probes_pruned exposes the scan optimization's effect but is still a

@@ -127,7 +127,7 @@ TEST(DbfCertificationTest, CertainClassesAgreeWithExactAtEveryBreakpointBand) {
         if (bp < (affine ? cdl : Time{0})) continue;
         const DbfClass cls = classify_one(agg, bp, cand);
         const BigRational exact =
-            agg.sum_at_uncounted(bp) + exact_cand_term(cand_task, bp, affine);
+            agg.sum_at(bp) + exact_cand_term(cand_task, bp, affine);
         const bool fits_exactly = exact <= BigRational(bp);
         if (cls == DbfClass::kFit) {
           ++certain;

@@ -1,12 +1,15 @@
 // Tests for demand bound functions: exact DBF, DBF*, its k-point refinement,
-// breakpoints, and saturating total demand.
+// breakpoints, saturating total demand, and the DBF* aggregate.
 #include "fedcons/analysis/dbf.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <string>
 #include <vector>
 
+#include "fedcons/util/check.h"
 #include "fedcons/util/rng.h"
 
 namespace fedcons {
@@ -184,6 +187,109 @@ TEST(DbfSaturationTest, BreakpointsStopAtSaturation) {
     EXPECT_GT(bp, 0);
     EXPECT_LT(bp, kTimeInfinity);
   }
+}
+
+std::string repr(const BigRational& r) {
+  return r.num().to_string() + "/" + r.den().to_string();
+}
+
+/// Σ_j dbf_approx(τ_j, t), the term-wise sum the aggregate must equal.
+BigRational termwise_sum(const std::vector<SporadicTask>& members, Time t) {
+  BigRational sum;
+  for (const SporadicTask& m : members) sum += dbf_approx(m, t);
+  return sum;
+}
+
+/// Every instant the aggregate is checked at: each distinct deadline, ±1
+/// around it, and below the smallest one.
+std::vector<Time> probe_instants(const DbfStarAggregate& agg) {
+  std::vector<Time> out;
+  const auto dds = agg.distinct_deadlines();
+  if (!dds.empty()) {
+    out.push_back(0);
+    out.push_back(dds.front() - 1);
+  }
+  for (Time d : dds) {
+    out.push_back(d - 1);
+    out.push_back(d);
+    out.push_back(d + 1);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+// Seeded random insert/remove sequences — interior removals, tied deadlines
+// with different (C, T), duplicate members — checked after every step
+// against the term-wise sum of dbf_approx, and the running fold checked
+// against a fresh sum_at down to the unreduced representation.
+TEST(DbfStarAggregateTest, RandomInsertRemoveMatchesTermwiseSum) {
+  Rng rng(0xa66e9u);
+  // A small parameter pool so deadlines tie and members repeat.
+  const std::array<Time, 4> deadlines = {6, 10, 10, 25};
+  for (int round = 0; round < 20; ++round) {
+    DbfStarAggregate agg;
+    std::vector<SporadicTask> members;
+    for (int step = 0; step < 40; ++step) {
+      const bool do_remove = !members.empty() && rng.uniform_int(0, 2) == 0;
+      if (do_remove) {
+        const auto at = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(members.size()) - 1));
+        agg.remove(members[at]);
+        members.erase(members.begin() + static_cast<std::ptrdiff_t>(at));
+      } else {
+        const Time d = deadlines[static_cast<std::size_t>(
+            rng.uniform_int(0, deadlines.size() - 1))];
+        const Time period = d + rng.uniform_int(0, 3) * 7;
+        const SporadicTask task(rng.uniform_int(1, 3), d, period);
+        agg.insert(task);
+        members.push_back(task);
+      }
+      ASSERT_EQ(agg.size(), members.size());
+      ASSERT_EQ(std::vector<Time>(agg.distinct_deadlines().begin(),
+                                  agg.distinct_deadlines().end()),
+                dbf_approx_breakpoints(members, 1, 100));
+
+      DbfStarAggregate::ExactFold fold(agg);
+      for (Time t : probe_instants(agg)) {
+        const BigRational fresh = agg.sum_at(t);
+        EXPECT_EQ(fresh, termwise_sum(members, t))
+            << "round " << round << " step " << step << " t=" << t;
+        EXPECT_EQ(repr(fold.sum_at(t)), repr(fresh))
+            << "round " << round << " step " << step << " t=" << t;
+      }
+    }
+  }
+}
+
+TEST(DbfStarAggregateTest, EmptyAggregateSumsToZero) {
+  const DbfStarAggregate agg;
+  EXPECT_EQ(agg.size(), 0u);
+  EXPECT_TRUE(agg.distinct_deadlines().empty());
+  EXPECT_EQ(repr(agg.sum_at(100)), "0/1");
+}
+
+TEST(DbfStarAggregateTest, RemovingAbsentMemberThrows) {
+  DbfStarAggregate agg;
+  EXPECT_THROW(agg.remove(SporadicTask(3, 10, 20)), ContractViolation);
+  agg.insert(SporadicTask(3, 10, 20));
+  EXPECT_THROW(agg.remove(SporadicTask(4, 10, 20)), ContractViolation);
+  EXPECT_THROW(agg.remove(SporadicTask(3, 11, 20)), ContractViolation);
+  EXPECT_THROW(agg.remove(SporadicTask(3, 10, 21)), ContractViolation);
+  EXPECT_EQ(agg.size(), 1u);
+  agg.remove(SporadicTask(3, 10, 20));
+  EXPECT_EQ(agg.size(), 0u);
+  EXPECT_THROW(agg.remove(SporadicTask(3, 10, 20)), ContractViolation);
+}
+
+TEST(DbfStarAggregateTest, RunningFoldRejectsDescendingBreakpoints) {
+  DbfStarAggregate agg;
+  agg.insert(SporadicTask(2, 10, 20));
+  agg.insert(SporadicTask(1, 30, 40));
+  DbfStarAggregate::ExactFold fold(agg);
+  (void)fold.sum_at(15);
+  (void)fold.sum_at(12);  // still above every folded deadline: allowed
+  EXPECT_THROW((void)fold.sum_at(5), ContractViolation);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // PartitionState / IncrementalPartition (federated/partition_state.h):
 // rollback exactness (admit-then-release leaves NO residue, down to the
-// stored rational representations) and the structural invariant
+// exact sums' representations and the stored doubles' bits) and the
+// structural invariant
 // state == partition_tasks(residents-in-admission-order) under random
 // admit/remove/resize sequences across partition variants.
 #include "fedcons/federated/partition_state.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,21 +24,26 @@ namespace {
 // Representation-exact snapshot of every observable of a PartitionState.
 struct BinImage {
   std::vector<std::size_t> ids;
-  std::vector<std::string> util_reprs;   // num/den of each prefix value
+  std::vector<std::string> util_reprs;   // num/den of the utilization total
   std::size_t demand_size = 0;
   std::vector<Time> demand_deadlines;
   std::vector<std::string> demand_reprs;  // num/den of sum_at per deadline
+  // Bit patterns of the aggregate's double SoA mirrors — its only stored
+  // state that depends on the insert/remove history.
+  std::vector<std::uint64_t> soa_bits;
 };
 
 std::string repr(const BigRational& r) {
   return r.num().to_string() + "/" + r.den().to_string();
 }
 
+void append_bits(std::vector<std::uint64_t>& out, std::span<const double> v) {
+  for (double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+}
+
 BinImage image_of(const PartitionState& state, int k) {
   BinImage img;
   img.ids = state.bin_ids(k);
-  // The utilization fold is inclusive-prefix internally; its observable is
-  // the total, whose representation depends on the fold history.
   img.util_reprs.push_back(repr(state.bin_utilization(k)));
   const DbfStarAggregate& demand = state.bin_demand(k);
   img.demand_size = demand.size();
@@ -43,6 +52,10 @@ BinImage image_of(const PartitionState& state, int k) {
     img.demand_reprs.push_back(repr(demand.sum_at(d)));
     img.demand_reprs.push_back(repr(demand.sum_at(d * 3 + 1)));
   }
+  append_bits(img.soa_bits, demand.soa_breakpoints());
+  append_bits(img.soa_bits, demand.soa_prefix_a());
+  append_bits(img.soa_bits, demand.soa_prefix_b());
+  append_bits(img.soa_bits, demand.soa_prefix_mag());
   return img;
 }
 
@@ -63,6 +76,7 @@ void expect_same_images(const std::vector<BinImage>& a,
     EXPECT_EQ(a[k].demand_size, b[k].demand_size) << "bin " << k;
     EXPECT_EQ(a[k].demand_deadlines, b[k].demand_deadlines) << "bin " << k;
     EXPECT_EQ(a[k].demand_reprs, b[k].demand_reprs) << "bin " << k;
+    EXPECT_EQ(a[k].soa_bits, b[k].soa_bits) << "bin " << k;
   }
 }
 
